@@ -14,12 +14,19 @@ state --
 * the :class:`~repro.exec.SupervisionPolicy` governing the worker pool,
 * the pool width (``jobs``) and optional crash-safe journal,
 
--- then call :meth:`measure_component` / :meth:`measure_components` /
+-- then call :meth:`measure_component_safe` / :meth:`measure_components` /
 :meth:`measure_catalog` / :meth:`lint` / :meth:`fit_estimator` as often
 as needed.  The free functions in :mod:`repro.core.workflow` (and
-:func:`repro.designs.loader.measure_catalog`) are now thin wrappers that
+:func:`repro.designs.loader.measure_catalog`) are thin wrappers that
 build a throwaway ``Engine`` per call, so the CLI and the ``ucomplexity
 serve`` daemon share exactly one code path and stay byte-identical.
+
+There is one measurement body, :meth:`measure_component_safe`: parse,
+software metrics, elaborate, account, probe the cache, synthesize each
+specialization (inline or on the supervised pool), aggregate.  Strict
+callers (:meth:`measure_component`, :meth:`measure_catalog`) run it with
+``strict=True``, where the first failure propagates instead of being
+quarantined.
 
 The engine itself holds no mutable pipeline state besides the estimator
 fit cache: measurement results depend only on (sources, policy, flags),
@@ -43,7 +50,6 @@ from repro.core.workflow import (
     _lint_audit,
     _probe_cache,
     _unique_specs,
-    parse_component,
 )
 from repro.elab.degeneracy import minimal_parameters
 from repro.elab.elaborator import elaborate
@@ -52,7 +58,12 @@ from repro.hdl.metrics import software_metrics
 from repro.hdl.source import SourceFile
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.runtime.diagnostics import Diagnostic, Result, Severity
+from repro.runtime.diagnostics import (
+    Diagnostic,
+    Result,
+    Severity,
+    render_report,
+)
 from repro.runtime.stages import STAGE_HINTS, StageBoundary
 from repro.synth.lower import synthesize_module
 from repro.synth.report import SynthesisReport, synthesis_metrics
@@ -91,7 +102,7 @@ class Engine:
             before any work is dispatched.
         jobs: worker-pool width (1 = inline sequential execution).
         supervision: pool supervision policy (:mod:`repro.exec`);
-            ``None`` uses the defaults, ``False`` the legacy bare pool.
+            ``None`` uses the defaults.
         journal: crash-safe run journal (path or
             :class:`~repro.exec.RunJournal`) for pool-run resume.
     """
@@ -101,7 +112,7 @@ class Engine:
         *,
         cache: "SynthesisCache | None" = None,
         jobs: int = 1,
-        supervision: "SupervisionPolicy | bool | None" = None,
+        supervision: "SupervisionPolicy | None" = None,
         journal: "RunJournal | str | None" = None,
     ) -> None:
         self.cache = cache
@@ -110,96 +121,23 @@ class Engine:
         self.journal = journal
         self._estimators: dict[tuple, "DesignEffortEstimator"] = {}
 
-    # -- strict (raising) measurement ----------------------------------------
+    # -- measurement -----------------------------------------------------------
 
     def measure_component(
         self,
-        sources: list[SourceFile],
+        sources: Sequence[SourceFile],
         top: str,
         name: str | None = None,
         policy: AccountingPolicy = AccountingPolicy.recommended(),
-        design: ast.Design | None = None,
     ) -> ComponentMeasurement:
-        """Measure every Table 3 metric for one component (raising)."""
-        with obs_trace.span("measure.component", component=name or top):
-            if design is None:
-                design = parse_component(sources)
-            with obs_trace.span("measure.software_metrics"):
-                metrics: dict[str, float] = dict(
-                    software_metrics(sources, design)
-                )
+        """Measure every Table 3 metric for one component (raising).
 
-            hierarchy = elaborate(design, top)
-            instances = hierarchy.all_instances()
-            with obs_trace.span("account"):
-                selected = select_components(
-                    instances,
-                    policy,
-                    minimal_parameters=lambda module: minimal_parameters(
-                        design, module
-                    ),
-                )
-
-            reports: dict[SpecKey, SynthesisReport] = {}
-            source_texts = tuple(s.text for s in sources)
-            to_compute, cache_keys, _corrupt = _probe_cache(
-                self.cache, source_texts, _unique_specs(selected), reports
-            )
-
-            if self.jobs > 1 and len(to_compute) > 1:
-                from repro.parallel import (
-                    quarantined_to_error,
-                    synthesize_specializations,
-                )
-
-                outcomes = synthesize_specializations(
-                    design,
-                    [(m, p) for _, m, p in to_compute],
-                    label=name or top,
-                    jobs=self.jobs,
-                    safe=False,
-                    supervision=self.supervision,
-                    journal=self.journal,
-                    source_texts=source_texts,
-                )
-                for (key, _m, _p), outcome in zip(to_compute, outcomes):
-                    outcome = quarantined_to_error(outcome)
-                    if outcome.error is not None:
-                        raise outcome.error
-                    reports[key] = outcome.value
-            else:
-                for key, module_name, params in to_compute:
-                    with obs_trace.span(
-                        "measure.specialization", module=module_name
-                    ) as sp:
-                        sub = elaborate(design, module_name, params)
-                        netlist = synthesize_module(sub)
-                        reports[key] = synthesis_metrics(netlist, sub, design)
-                    if sp.wall_s is not None:
-                        obs_metrics.histogram(
-                            "measure.specialization_wall_s"
-                        ).observe(sp.wall_s)
-            if self.cache is not None:
-                for key, _m, _p in to_compute:
-                    self.cache.store(cache_keys[key], reports[key])
-
-            selected_reports = [
-                reports[(m, tuple(sorted(p.items())))] for m, p in selected
-            ]
-            metrics.update(
-                aggregate_metrics([r.metrics() for r in selected_reports])
-            )
-            metrics.update(_flow_metrics(selected_reports))
-            return ComponentMeasurement(
-                name=name or top,
-                top=top,
-                policy=policy,
-                metrics=metrics,
-                specializations=selected,
-                reports=reports,
-            )
-
-    # -- fault-tolerant measurement ------------------------------------------
+        The strict mode of :meth:`measure_component_safe`: the first
+        failure propagates instead of being quarantined.
+        """
+        return self.measure_component_safe(
+            sources, top, name=name, policy=policy, strict=True,
+        ).unwrap()
 
     def measure_component_safe(
         self,
@@ -314,7 +252,6 @@ class Engine:
                 [(m, p) for _, m, p in to_compute],
                 label=label,
                 jobs=self.jobs,
-                safe=True,
                 strict=strict,
                 supervision=self.supervision,
                 journal=self.journal,
@@ -324,6 +261,12 @@ class Engine:
                 if outcome.error is not None:
                     boundary.diagnostics.extend(outcome.diagnostics)
                     raise outcome.error  # strict mode: fail fast, as inline does
+                if outcome.value is None and strict:
+                    # A supervisor quarantine carries no exception object.
+                    raise RuntimeError(
+                        "task quarantined by the supervisor:\n"
+                        + render_report(list(outcome.diagnostics))
+                    )
                 if outcome.value is not None:
                     reports[key] = outcome.value
                     # Surface execution-layer advisories (pool fallback
@@ -455,8 +398,10 @@ class Engine:
         Returns component label -> measurement, in catalog order.  The
         bundled RTL is trusted, so a failure raises (strict mode) rather
         than quarantining -- same contract as
-        :func:`repro.designs.loader.measure_catalog`, which now wraps
-        this method.
+        :func:`repro.designs.loader.measure_catalog`, which wraps this
+        method.  Every ``jobs`` value goes through
+        :meth:`measure_components`, so a warm cache serves whole
+        components from the measurement memo.
         """
         from repro.designs.catalog import component_specs
         from repro.designs.loader import load_sources
@@ -466,29 +411,22 @@ class Engine:
             for spec in component_specs()
             if designs is None or spec.design in designs
         ]
-        if self.jobs > 1 and len(selected) > 1:
-            batch = self.measure_components(
-                [
-                    ComponentSpec(
-                        name=spec.label,
-                        sources=tuple(load_sources(spec)),
-                        top=spec.top,
-                        policy=policy,
-                    )
-                    for spec in selected
-                ],
-                strict=True,
-            )
-            return {
-                spec.label: batch.results[spec.label].unwrap()
+        batch = self.measure_components(
+            [
+                ComponentSpec(
+                    name=spec.label,
+                    sources=tuple(load_sources(spec)),
+                    top=spec.top,
+                    policy=policy,
+                )
                 for spec in selected
-            }
-        out: dict[str, ComponentMeasurement] = {}
-        for spec in selected:
-            out[spec.label] = self.measure_component(
-                load_sources(spec), spec.top, name=spec.label, policy=policy,
-            )
-        return out
+            ],
+            strict=True,
+        )
+        return {
+            spec.label: batch.results[spec.label].unwrap()
+            for spec in selected
+        }
 
     # -- lint ------------------------------------------------------------------
 
@@ -500,12 +438,9 @@ class Engine:
         """Audit HDL sources against the accounting/hygiene rules."""
         from repro.lint import lint_sources
 
-        supervision = self.supervision
-        if isinstance(supervision, bool):
-            supervision = None
         return lint_sources(
-            list(sources), config, jobs=self.jobs, supervision=supervision,
-            cache=self.cache,
+            list(sources), config, jobs=self.jobs,
+            supervision=self.supervision, cache=self.cache,
         )
 
     # -- estimator fits --------------------------------------------------------
@@ -553,5 +488,4 @@ class Engine:
             "jobs": self.jobs,
             "cache": None if self.cache is None else str(self.cache.directory),
             "cached_fits": len(self._estimators),
-            "supervised": not (self.supervision is False),
         }

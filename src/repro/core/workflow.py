@@ -13,11 +13,12 @@ This is the uComplexity measurement flow of Section 2:
 5. aggregate the per-specialization synthesis metrics into the component's
    compounded index.
 
-The pipeline bodies live on :class:`repro.core.engine.Engine` (one
+The pipeline body lives on :class:`repro.core.engine.Engine` (one
 long-lived object holding the cache, pool width, supervision policy, and
-journal); the functions here are thin per-call wrappers so existing
-callers -- and the CLI -- keep their signatures while the serve daemon
-reuses a single engine across requests.
+journal) as a single fault-isolated path; strict callers run it with
+``strict=True``.  The functions here are thin per-call wrappers so
+existing callers -- and the CLI -- keep their signatures while the serve
+daemon reuses a single engine across requests.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from repro.core.accounting import AccountingPolicy
 from repro.hdl import ast, parse_source
 from repro.hdl.source import SourceFile
 from repro.obs import metrics as obs_metrics
-from repro.obs import trace as obs_trace
 from repro.runtime.diagnostics import Diagnostic, Result, Severity, render_report
 from repro.runtime.stages import StageBoundary
 from repro.synth.report import SynthesisReport
@@ -57,11 +57,10 @@ class ComponentMeasurement:
 
 def parse_component(sources: list[SourceFile]) -> ast.Design:
     """Parse and merge a component's source files into one design."""
-    with obs_trace.span("parse.component", files=len(sources)):
-        design = ast.Design()
-        for source in sources:
-            design = design.merge(parse_source(source))
-        return design
+    design = ast.Design()
+    for source in sources:
+        design = design.merge(parse_source(source))
+    return design
 
 
 def _probe_cache(
@@ -115,29 +114,29 @@ def measure_component(
     top: str,
     name: str | None = None,
     policy: AccountingPolicy = AccountingPolicy.recommended(),
-    design: ast.Design | None = None,
     cache: "SynthesisCache | None" = None,
     jobs: int = 1,
-    supervision: "SupervisionPolicy | bool | None" = None,
+    supervision: "SupervisionPolicy | None" = None,
     journal: "RunJournal | str | None" = None,
 ) -> ComponentMeasurement:
     """Measure every Table 3 metric for one component.
 
-    Thin wrapper over :meth:`repro.core.engine.Engine.measure_component`;
-    long-lived callers (the serve daemon, batch drivers) should construct
-    one :class:`~repro.core.engine.Engine` and reuse it instead.
+    The strict mode of :func:`measure_component_safe`: the first failure
+    propagates instead of being quarantined.  Thin wrapper over
+    :meth:`repro.core.engine.Engine.measure_component`; long-lived callers
+    (the serve daemon, batch drivers) should construct one
+    :class:`~repro.core.engine.Engine` and reuse it instead.
 
     Args:
         sources: the component's HDL files.
         top: top module/entity name.
         name: display name (defaults to ``top``).
         policy: the accounting procedure configuration.
-        design: pre-parsed design (parsed from ``sources`` when omitted).
         cache: content-addressed synthesis cache (:mod:`repro.cache`);
             hits skip the elaborate+synthesize work for a specialization.
         jobs: process-pool width for the specialization loop (1 = inline).
         supervision: pool supervision policy (:mod:`repro.exec`); ``None``
-            uses the defaults, ``False`` the legacy bare pool.
+            uses the defaults.
         journal: crash-safe run journal (path or
             :class:`~repro.exec.RunJournal`) for ``jobs > 1`` resume.
     """
@@ -145,7 +144,7 @@ def measure_component(
 
     return Engine(
         cache=cache, jobs=jobs, supervision=supervision, journal=journal,
-    ).measure_component(sources, top, name=name, policy=policy, design=design)
+    ).measure_component(sources, top, name=name, policy=policy)
 
 
 # -- fault-tolerant entry points ------------------------------------------
@@ -277,14 +276,15 @@ def measure_component_safe(
     cache: "SynthesisCache | None" = None,
     jobs: int = 1,
     lint: bool = False,
-    supervision: "SupervisionPolicy | bool | None" = None,
+    supervision: "SupervisionPolicy | None" = None,
     journal: "RunJournal | str | None" = None,
 ) -> Result[ComponentMeasurement]:
     """Measure one component with per-stage fault isolation.
 
-    Unlike :func:`measure_component`, failures do not propagate (unless
-    ``strict``); they become structured diagnostics and the measurement
-    degrades along a fixed ladder:
+    This is the one measurement body; :func:`measure_component` is its
+    strict mode.  Failures do not propagate (unless ``strict``); they
+    become structured diagnostics and the measurement degrades along a
+    fixed ladder:
 
     * a source file that fails to **parse** is quarantined -- the remaining
       files still produce software metrics and, if the top is intact, a
@@ -367,7 +367,7 @@ def measure_components(
     jobs: int = 1,
     cache: "SynthesisCache | None" = None,
     lint: bool = False,
-    supervision: "SupervisionPolicy | bool | None" = None,
+    supervision: "SupervisionPolicy | None" = None,
     journal: "RunJournal | str | None" = None,
 ) -> BatchMeasurement:
     """Measure a batch of components, isolating faults per component.
@@ -383,8 +383,8 @@ def measure_components(
     runs the ACC accounting audit on each component's parsed catalog
     before measuring (WARNING diagnostics; never changes the exit code).
     ``supervision`` configures the supervised pool (:mod:`repro.exec`:
-    deadlines, retries, quarantine; ``False`` = legacy bare pool) and
-    ``journal`` makes the parallel run crash-safe resumable.
+    deadlines, retries, quarantine) and ``journal`` makes the parallel
+    run crash-safe resumable.
 
     Thin wrapper over
     :meth:`repro.core.engine.Engine.measure_components`.

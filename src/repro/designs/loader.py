@@ -32,8 +32,8 @@ def measure_catalog(
 
     Returns component label -> measurement, in catalog order.  ``jobs > 1``
     fans the components out over a process pool; ``cache`` memoizes
-    synthesis products so reruns over the unchanged catalog skip that
-    stage.  The bundled RTL is trusted, so a failure raises (strict mode)
+    synthesis products and whole measurements, so a rerun over the
+    unchanged catalog is served from the cache.  The bundled RTL is trusted, so a failure raises (strict mode)
     either way rather than quarantining.
 
     Thin wrapper over :meth:`repro.core.engine.Engine.measure_catalog`.

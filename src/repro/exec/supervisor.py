@@ -536,8 +536,8 @@ class Supervisor:
 
                 if not workers:
                     # No pool at all (or respawn budget exhausted with every
-                    # worker dead): degrade to inline execution, the same
-                    # never-wrong fallback the bare pool documented.  A task
+                    # worker dead): degrade to inline execution -- slower,
+                    # never wrong.  A task
                     # that already killed a worker never runs inline -- it
                     # would take the parent down with it -- so it is
                     # quarantined on the spot.

@@ -183,8 +183,9 @@ def flamegraph_lines(rows: Sequence[dict]) -> list[str]:
     Self time is emitted in integer microseconds (the conventional unit
     for wall-clock collapsed stacks); frames whose self time rounds to
     zero are omitted, matching what a sampling profiler would produce.
-    Stacks with identical frame sequences (e.g. two ``measure.component``
-    spans under the same parent chain) merge by summation.
+    Stacks with identical frame sequences (e.g. two
+    ``measure.component_safe`` spans under the same parent chain) merge by
+    summation.
     """
     spans = span_rows(rows)
     by_id = {r["id"]: r for r in spans}

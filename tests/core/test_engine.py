@@ -141,3 +141,21 @@ class TestEngineEquivalence:
         )
         assert again is first
         assert engine.stats()["cached_fits"] == 1
+
+
+class TestSingleMeasurementPath:
+    def test_sequential_catalog_is_served_from_the_memo(self, tmp_path):
+        from repro.obs import metrics as obs_metrics
+
+        engine = Engine(jobs=1, cache=SynthesisCache(tmp_path / "cache"))
+        cold = engine.measure_catalog(designs=("PUMA",))
+        registry = obs_metrics.MetricsRegistry()
+        with obs_metrics.using(registry):
+            warm = engine.measure_catalog(designs=("PUMA",))
+        counters = registry.snapshot()["counters"]
+
+        assert counters["cache.measure_hits"] == len(cold)
+        assert counters.get("hdl.files_parsed", 0.0) == 0.0
+        assert list(warm) == list(cold)
+        for label, measurement in cold.items():
+            assert warm[label].metrics == measurement.metrics, label

@@ -16,10 +16,15 @@ import threading
 
 import pytest
 
-from repro.core.workflow import measure_components
+from repro.core.workflow import (
+    measure_component,
+    measure_component_safe,
+    measure_components,
+)
 from repro.exec import RunInterrupted, RunJournal, SupervisionPolicy
 from repro.gen import generate_corpus, corpus_specs
 from repro.gen.oracle import ORACLE_METRICS
+from repro.hdl.source import SourceFile
 from repro.obs import metrics as obs_metrics
 from repro.runtime.diagnostics import Severity
 
@@ -138,3 +143,48 @@ class TestJournalResume:
         assert counters["exec.dispatched"] == 40.0
         assert not batch.failures
         _assert_exact(batch, modules, [gm.name for gm in modules])
+
+
+_HIER = SourceFile(
+    "hier.v",
+    """
+    module leaf #(parameter W = 8)(input clk, input [W-1:0] d,
+                                   output reg [W-1:0] q);
+      always @(posedge clk) q <= d;
+    endmodule
+
+    module top(input clk, input [7:0] x, output [7:0] y0, y1);
+      leaf #(.W(8)) u0 (.clk(clk), .d(x), .q(y0));
+      leaf #(.W(8)) u1 (.clk(clk), .d(~x), .q(y1));
+    endmodule
+    """,
+)
+
+
+class TestStrictQuarantine:
+    """A quarantined specialization has no exception to re-raise; strict
+    mode must still fail, with the supervisor's report."""
+
+    _POLICY = SupervisionPolicy(
+        backoff_base_s=0.01,
+        backoff_cap_s=0.05,
+        poll_interval_s=0.05,
+        chaos={"top:leaf": ("kill",)},
+    )
+
+    def test_strict_measurement_raises_naming_the_quarantine(self):
+        with pytest.raises(RuntimeError) as exc:
+            measure_component(
+                [_HIER], "top", jobs=2, supervision=self._POLICY
+            )
+        message = str(exc.value)
+        assert "quarantined by the supervisor" in message
+        assert "top:leaf" in message
+
+    def test_safe_measurement_degrades_instead(self):
+        result = measure_component_safe(
+            [_HIER], "top", jobs=2, supervision=self._POLICY
+        )
+        assert result.value is not None
+        assert [m for m, _ in result.value.specializations] == ["top"]
+        assert any(d.stage == "exec" for d in result.diagnostics)
